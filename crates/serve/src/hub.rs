@@ -20,7 +20,6 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Shared fan-out point between one producing worker and any number of
 /// follower connections.
@@ -59,7 +58,7 @@ struct HubState {
 /// One read from the hub.
 #[derive(Debug)]
 pub struct Batch {
-    /// Lines from the follower's cursor onward (possibly empty).
+    /// Lines from the follower's cursor onward (empty only at stream end).
     pub lines: Vec<Arc<[u8]>>,
     /// Cursor to pass to the next call.
     pub next_cursor: u64,
@@ -179,39 +178,21 @@ impl EventHub {
     }
 
     /// Follower side: read everything available from `cursor` (an absolute
-    /// line index), waiting up to `wait` for news. An empty, non-`drained`
-    /// batch means the wait timed out — check for shutdown and call again.
-    pub fn next_batch(&self, cursor: u64, wait: Duration) -> Batch {
-        let mut st = self.state.lock().expect("hub lock");
-        loop {
-            let end = st.start + st.lines.len() as u64;
-            if cursor < end || st.done {
-                let from = cursor.max(st.start);
-                let dropped = from - cursor;
-                let skip = (from - st.start) as usize;
-                let lines: Vec<Arc<[u8]>> = st.lines.iter().skip(skip).cloned().collect();
-                return Batch {
-                    next_cursor: end,
-                    dropped,
-                    drained: st.done,
-                    aborted: st.aborted,
-                    lines,
-                };
-            }
-            let (guard, timeout) = self.cond.wait_timeout(st, wait).expect("hub lock");
-            st = guard;
-            let end = st.start + st.lines.len() as u64;
-            if timeout.timed_out() && cursor >= end && !st.done {
-                // Cursor unchanged: if lines raced in and were evicted,
-                // the next call counts them as dropped.
-                return Batch {
-                    next_cursor: cursor,
-                    dropped: 0,
-                    drained: false,
-                    aborted: st.aborted,
-                    lines: Vec::new(),
-                };
-            }
+    /// line index), waiting for a line there or the end of the stream — which
+    /// every job reaches through `finish` or `skip_unless_followed`.
+    pub fn next_batch(&self, cursor: u64) -> Batch {
+        let st = self.state.lock().expect("hub lock");
+        let st = self
+            .cond
+            .wait_while(st, |st| cursor >= st.start + st.lines.len() as u64 && !st.done)
+            .expect("hub lock");
+        let from = cursor.max(st.start);
+        Batch {
+            lines: st.lines.iter().skip((from - st.start) as usize).cloned().collect(),
+            next_cursor: st.start + st.lines.len() as u64,
+            dropped: from - cursor,
+            drained: st.done,
+            aborted: st.aborted,
         }
     }
 }
@@ -241,7 +222,7 @@ mod tests {
         let mut out = Vec::new();
         let mut dropped = 0;
         loop {
-            let b = hub.next_batch(cursor, Duration::from_millis(50));
+            let b = hub.next_batch(cursor);
             dropped += b.dropped;
             for l in &b.lines {
                 out.extend_from_slice(l);
@@ -300,7 +281,7 @@ mod tests {
         let idle = EventHub::new(64, 0);
         assert!(!idle.skip_unless_followed());
         assert!(!idle.attach(), "late follower told to replay instead");
-        let b = idle.next_batch(0, Duration::from_millis(10));
+        let b = idle.next_batch(0);
         assert!(b.drained && b.lines.is_empty());
     }
 
@@ -309,7 +290,7 @@ mod tests {
         let hub = EventHub::new(1 << 20, 0);
         hub.push(b"{\"a\":1}\n");
         hub.finish(false);
-        let b = hub.next_batch(0, Duration::from_millis(10));
+        let b = hub.next_batch(0);
         assert!(b.aborted && b.drained);
     }
 }

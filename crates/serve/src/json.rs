@@ -32,7 +32,7 @@ enum Json {
 pub fn scenario_toml_from_json(input: &str) -> Result<String, String> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing garbage after JSON document at byte {}", p.pos));
@@ -100,6 +100,9 @@ fn toml_value(value: &Json) -> Result<Value, String> {
     }
 }
 
+/// Deepest array/object nesting accepted: the parser recurses per level.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -138,10 +141,13 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -152,7 +158,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
@@ -166,7 +172,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             if entries.iter().any(|(k, _)| *k == key) {
                 return Err(format!("duplicate key {key:?}"));
             }
@@ -183,7 +189,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -193,7 +199,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,

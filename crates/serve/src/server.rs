@@ -1,12 +1,13 @@
 //! The daemon: listener, routing, job registry, worker pool and drain.
 //!
-//! Concurrency model — deliberately boring, std-only:
+//! Concurrency model — deliberately boring, std-only, woken by events:
 //!
-//! * one accept loop (nonblocking + short sleep so shutdown is noticed),
-//! * one short-lived thread per connection (requests are `Connection:
-//!   close`, so a connection is one request),
+//! * one accept loop blocked in `accept`, which [`ServerHandle::shutdown`]
+//!   wakes by connecting once to the bound address,
+//! * one short-lived scoped thread per connection (requests are
+//!   `Connection: close`, so a connection is one request),
 //! * a fixed pool of worker threads popping job ids off a bounded queue
-//!   guarded by a `Mutex` + `Condvar`.
+//!   guarded by a `Mutex` + `Condvar`; follows and the drain wait on condvars.
 //!
 //! All shared state lives in one [`Registry`] behind a single mutex. Every
 //! critical section is a few map operations — scenario runs happen outside
@@ -14,10 +15,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use bas_core::report::json_string;
@@ -148,6 +150,9 @@ struct Registry {
     /// Live-subscription fan-out points for queued/running sweep jobs.
     hubs: HashMap<u64, Arc<EventHub>>,
     next_id: u64,
+    /// Set once by [`ServerHandle::shutdown`], even through a poisoned lock;
+    /// workers check it under the lock before waiting, so no wake-up is lost.
+    shutdown: bool,
     running: usize,
     submitted: u64,
     executed: u64,
@@ -163,6 +168,7 @@ impl Registry {
             done_lru: Lru::new(cache_capacity),
             hubs: HashMap::new(),
             next_id: 1,
+            shutdown: false,
             running: 0,
             submitted: 0,
             executed: 0,
@@ -203,7 +209,9 @@ struct Shared {
     service: Arc<dyn ScenarioService>,
     registry: Mutex<Registry>,
     work_ready: Condvar,
-    shutdown: AtomicBool,
+    /// The bound address, an unspecified IP replaced by its family's
+    /// loopback: where [`ServerHandle::shutdown`] connects to wake `accept`.
+    wake_addr: SocketAddr,
     /// Currently-running `/events` replays. Replays run on connection
     /// threads (they are on-demand reads, not queued jobs), so without a
     /// bound N concurrent requests would run N simulations past every
@@ -215,6 +223,8 @@ struct Shared {
     /// path force-`shutdown(2)`s whatever is still here, failing the
     /// thread's blocked write immediately.
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled when `conn_streams` becomes empty.
+    conns_closed: Condvar,
     next_conn_id: AtomicUsize,
     /// The persistent result store (`--state-dir`), when configured. Its
     /// lock is never held while the registry lock is held: probe/commit
@@ -228,7 +238,7 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// RAII registration of a connection's socket clone in
 /// [`Shared::conn_streams`] for the force-close path; deregisters when the
-/// connection thread finishes (however it finishes).
+/// connection thread finishes (however it finishes); the last wakes the drain.
 struct ConnGuard<'a> {
     shared: &'a Shared,
     id: u64,
@@ -245,7 +255,12 @@ impl<'a> ConnGuard<'a> {
 
 impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
-        self.shared.conn_streams.lock().expect("conn streams poisoned").remove(&self.id);
+        // Every update leaves the map valid, so a poisoned lock is usable.
+        let mut streams = self.shared.conn_streams.lock().unwrap_or_else(PoisonError::into_inner);
+        streams.remove(&self.id);
+        if streams.is_empty() {
+            self.shared.conns_closed.notify_all();
+        }
     }
 }
 
@@ -299,8 +314,10 @@ impl ServerHandle {
     /// Begin graceful shutdown: stop accepting connections, finish every
     /// queued job, then let [`Server::run`] return.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.registry.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
         self.shared.work_ready.notify_all();
+        // Wake the blocked `accept`; refused means no listener is left.
+        let _ = TcpStream::connect(self.shared.wake_addr);
     }
 
     /// Whether the queue is empty and no job is executing.
@@ -337,6 +354,13 @@ impl Server {
     /// store before any request can race in.
     pub fn bind(config: ServeConfig, service: Arc<dyn ScenarioService>) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let worker_count = config.resolved_workers();
         let registry = Mutex::new(Registry::new(config.cache_capacity));
         let store = match &config.state_dir {
@@ -349,9 +373,10 @@ impl Server {
             service,
             registry,
             work_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
+            wake_addr,
             replays_active: AtomicUsize::new(0),
             conn_streams: Mutex::new(HashMap::new()),
+            conns_closed: Condvar::new(),
             next_conn_id: AtomicUsize::new(0),
             store,
         });
@@ -369,87 +394,76 @@ impl Server {
     }
 
     /// Serve until shutdown: spawn the worker pool, accept connections,
-    /// then drain the queue and join everything on the way out.
+    /// then drain the queue and join everything on the way out. Fails if a
+    /// worker thread panicked outside a job.
     pub fn run(self) -> io::Result<()> {
         let Server { listener, shared } = self;
-        listener.set_nonblocking(true)?;
-        let workers: Vec<_> = (0..shared.worker_count)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("bas-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !shared.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&shared);
-                    connections.push(std::thread::spawn(move || {
-                        handle_connection(&shared, stream);
-                    }));
+        let shared = &*shared;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..shared.worker_count)
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("bas-serve-worker-{i}"))
+                        .spawn_scoped(scope, || worker_loop(shared))
+                        .expect("spawn worker thread")
+                })
+                .collect();
+            for stream in listener.incoming() {
+                if shared.registry.lock().unwrap_or_else(PoisonError::into_inner).shutdown {
+                    break;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                match stream {
+                    Ok(stream) => {
+                        // Registered before the spawn so the drain sees it.
+                        let guard = ConnGuard::register(shared, &stream);
+                        // A panicking handler loses its connection, not the daemon.
+                        let serve = AssertUnwindSafe(move || handle_connection(shared, stream));
+                        scope.spawn(move || {
+                            let _guard = guard;
+                            let _ = panic::catch_unwind(serve);
+                        });
+                    }
+                    // Resource exhaustion (EMFILE) fails every call: don't spin.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
-            connections.retain(|h| !h.is_finished());
-        }
-        // Drain: no new connections are accepted; workers finish every
-        // queued job (their loop only exits on shutdown + empty queue),
-        // and in-flight responses/streams complete.
-        shared.work_ready.notify_all();
-        for handle in workers {
-            let _ = handle.join();
-        }
-        // Connection threads get DRAIN_GRACE to finish on their own; after
-        // that their sockets are force-closed so a client that stopped
-        // reading (a blocked write) cannot pin the drain, and the joins
-        // below return promptly.
-        let grace_deadline = std::time::Instant::now() + DRAIN_GRACE;
-        while std::time::Instant::now() < grace_deadline {
-            connections.retain(|h| !h.is_finished());
-            if connections.is_empty() {
-                break;
+            drop(listener);
+            // Workers finish every queued job before the grace period starts.
+            let panicked = workers.into_iter().map(|worker| worker.join()).filter(Result::is_err);
+            let worker_panicked = panicked.count() > 0;
+            // Connections get DRAIN_GRACE to end on their own; then their sockets
+            // are force-closed so a stalled client cannot pin the scope's joins.
+            let streams = shared.conn_streams.lock().expect("conn streams poisoned");
+            let (streams, _) = shared
+                .conns_closed
+                .wait_timeout_while(streams, DRAIN_GRACE, |streams| !streams.is_empty())
+                .expect("conn streams poisoned");
+            for stream in streams.values() {
+                let _ = stream.shutdown(Shutdown::Both);
             }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        for stream in shared.conn_streams.lock().expect("conn streams poisoned").values() {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-        }
-        for handle in connections {
-            let _ = handle.join();
-        }
-        Ok(())
+            if worker_panicked {
+                return Err(io::Error::other("a serve worker thread panicked"));
+            }
+            Ok(())
+        })
     }
 }
 
 /// Pop and execute jobs until shutdown with an empty queue.
-fn worker_loop(shared: &Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let (id, scenario, digest, hub) = {
-            let mut reg = shared.registry.lock().expect("registry poisoned");
-            loop {
-                if let Some(id) = reg.queue.pop_front() {
-                    reg.running += 1;
-                    let job = reg.jobs.get_mut(&id).expect("queued job is registered");
-                    job.status = JobStatus::Running;
-                    let (scenario, digest) = (job.scenario.clone(), job.digest.clone());
-                    let hub = reg.hubs.get(&id).cloned();
-                    break (id, scenario, digest, hub);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .work_ready
-                    .wait_timeout(reg, Duration::from_millis(200))
-                    .expect("registry poisoned");
-                reg = guard;
-            }
+            let reg = shared.registry.lock().expect("registry poisoned");
+            let mut reg = shared
+                .work_ready
+                .wait_while(reg, |reg| reg.queue.is_empty() && !reg.shutdown)
+                .expect("registry poisoned");
+            let Some(id) = reg.queue.pop_front() else { return };
+            reg.running += 1;
+            let job = reg.jobs.get_mut(&id).expect("queued job is registered");
+            job.status = JobStatus::Running;
+            let (scenario, digest) = (job.scenario.clone(), job.digest.clone());
+            (id, scenario, digest, reg.hubs.get(&id).cloned())
         };
         // Sweep jobs shard their trials across the pool width. The sweep
         // layer guarantees bit-identical results for any thread count, so
@@ -462,34 +476,24 @@ fn worker_loop(shared: &Arc<Shared>) {
         // Generate the deterministic first-trial event stream through the
         // hub — the exact bytes `/events` replays — so followers watch it
         // live and the store keeps it for replay-free serving. Skipped when
-        // nobody can use it (no store, no follower attached yet).
+        // nobody can use it (no store, no follower attached yet). Either
+        // way the hub ends, so no follower waits forever; a panic here ends
+        // it truncated and fails the job without running it.
+        let mut streamed = Ok(true);
         if let Some(hub) = &hub {
-            let wanted = shared.store.is_some() || hub.skip_unless_followed();
-            if wanted {
-                let ok = run_scenario.stream_events(HubSink(Arc::clone(hub))).is_ok();
-                let persist = hub.finish(ok);
-                if let (Some(store), Some(bytes)) = (&shared.store, persist) {
-                    let committed = store.lock().expect("store poisoned").commit(
-                        &digest,
-                        BlobKind::Events,
-                        &bytes,
-                    );
-                    if let Err(e) = committed {
-                        store_log(shared, &format!("events commit failed for {digest}: {e}"));
-                    }
+            if shared.store.is_some() || hub.skip_unless_followed() {
+                streamed =
+                    isolated(|| Ok(run_scenario.stream_events(HubSink(Arc::clone(hub))).is_ok()));
+                if let Some(bytes) = hub.finish(streamed == Ok(true)) {
+                    commit(shared, &digest, BlobKind::Events, &bytes);
                 }
             }
         }
-        let result = shared.service.run(&run_scenario).map(|report| report.to_json());
-        if let (Some(store), Ok(json)) = (&shared.store, &result) {
-            let committed = store.lock().expect("store poisoned").commit(
-                &digest,
-                BlobKind::Report,
-                json.as_bytes(),
-            );
-            if let Err(e) = committed {
-                store_log(shared, &format!("report commit failed for {digest}: {e}"));
-            }
+        let result = streamed.and_then(|_| {
+            isolated(|| shared.service.run(&run_scenario).map(|report| report.to_json()))
+        });
+        if let Ok(json) = &result {
+            commit(shared, &digest, BlobKind::Report, json.as_bytes());
         }
         let mut reg = shared.registry.lock().expect("registry poisoned");
         reg.running -= 1;
@@ -504,34 +508,43 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn store_log(shared: &Shared, message: &str) {
-    if !shared.config.quiet {
-        eprintln!("bas serve store: {message}");
+/// Run one step of a job with its panics caught: a panic becomes the job's
+/// error. Callers hold no lock across the step, so none can be poisoned.
+fn isolated<T>(step: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
+        let what = payload.downcast_ref::<&str>().copied();
+        let what = what.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        Err(format!("job panicked: {}", what.unwrap_or("non-string payload")))
+    })
+}
+
+/// Write a finished job's blob through to the store, when there is one. A
+/// failed commit is logged, not fatal: the in-memory result still serves.
+fn commit(shared: &Shared, digest: &str, kind: BlobKind, bytes: &[u8]) {
+    let Some(store) = &shared.store else { return };
+    let committed = store.lock().expect("store poisoned").commit(digest, kind, bytes);
+    if let (Err(e), false) = (committed, shared.config.quiet) {
+        eprintln!("bas serve store: {} commit failed for {digest}: {e}", kind.as_str());
     }
 }
 
 /// Serve one request on `stream` and close it.
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+fn handle_connection(shared: &Shared, stream: TcpStream) {
     // Both directions are bounded: a client that trickles its request or
     // never drains its response (TCP backpressure on a large report or an
     // /events stream) errors out of the blocked syscall instead of pinning
-    // this thread — `Server::run` joins every connection thread during
-    // drain, so an unbounded write would wedge shutdown. The drain path
-    // additionally force-closes sockets still registered after its grace
-    // period (see `ConnGuard`/`DRAIN_GRACE`).
+    // this thread, which the drain joins (force-closing its socket after
+    // `DRAIN_GRACE`), so an unbounded write would wedge shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let _guard = ConnGuard::register(shared, &stream);
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(&stream);
     let request = match http::read_request(&mut reader, shared.config.max_body_bytes) {
         Ok(Some(request)) => request,
         Ok(None) => return, // connect-and-leave probe
         Err(e) => {
             access_log(shared, "-", "-", e.status);
-            let mut out = stream;
             let _ = http::write_response(
-                &mut out,
+                &mut &stream,
                 e.status,
                 "application/json",
                 error_json(&e.message).as_bytes(),
@@ -553,7 +566,7 @@ fn access_log(shared: &Shared, method: &str, path: &str, status: u16) {
 
 /// Dispatch one parsed request, returning the response status (for the
 /// access log; streaming endpoints report the status of their head).
-fn route(shared: &Arc<Shared>, mut stream: TcpStream, request: http::Request) -> u16 {
+fn route(shared: &Shared, mut stream: TcpStream, request: http::Request) -> u16 {
     let respond = |stream: &mut TcpStream, status: u16, body: &str, extra: &[(&str, &str)]| {
         let _ = http::write_response(stream, status, "application/json", body.as_bytes(), extra);
         status
@@ -583,7 +596,7 @@ fn route(shared: &Arc<Shared>, mut stream: TcpStream, request: http::Request) ->
 
 /// `POST /v1/jobs`: parse (TOML or JSON), validate, budget-check, then
 /// queue / coalesce / reject.
-fn handle_submit(shared: &Arc<Shared>, mut stream: TcpStream, body: &[u8]) -> u16 {
+fn handle_submit(shared: &Shared, mut stream: TcpStream, body: &[u8]) -> u16 {
     let respond = |stream: &mut TcpStream, status: u16, body: &str, extra: &[(&str, &str)]| {
         let _ = http::write_response(stream, status, "application/json", body.as_bytes(), extra);
         status
@@ -638,7 +651,7 @@ fn parse_submission(body: &[u8]) -> Result<Scenario, String> {
     Scenario::from_toml(&toml_text).map_err(|e| e.to_string())
 }
 
-fn submit(shared: &Arc<Shared>, mut scenario: Scenario) -> Submitted {
+fn submit(shared: &Shared, mut scenario: Scenario) -> Submitted {
     // Workers override `threads` to the pool width for sweep jobs (see
     // `worker_loop`), so the knob never affects what this server executes.
     // Normalize it away before digesting so cache identity matches
@@ -657,7 +670,7 @@ fn submit(shared: &Arc<Shared>, mut scenario: Scenario) -> Submitted {
     };
     let is_sweep = scenario.kind == ScenarioKind::Sweep;
     let mut reg = shared.registry.lock().expect("registry poisoned");
-    if shared.shutdown.load(Ordering::SeqCst) {
+    if reg.shutdown {
         return Submitted::Draining;
     }
     if let Some(&id) = reg.by_digest.get(&digest) {
@@ -710,7 +723,7 @@ fn submit(shared: &Arc<Shared>, mut scenario: Scenario) -> Submitted {
 }
 
 /// `GET /v1/jobs/<id>[/report|/events[?follow=1]]`.
-fn handle_job_get(shared: &Arc<Shared>, mut stream: TcpStream, path: &str, follow: bool) -> u16 {
+fn handle_job_get(shared: &Shared, mut stream: TcpStream, path: &str, follow: bool) -> u16 {
     let respond = |stream: &mut TcpStream, status: u16, body: &str| {
         let _ = http::write_response(stream, status, "application/json", body.as_bytes(), &[]);
         status
@@ -843,7 +856,7 @@ fn handle_job_get(shared: &Arc<Shared>, mut stream: TcpStream, path: &str, follo
 /// blob back from the store. `None` means the blob failed verification and
 /// was quarantined: the job and its digest mapping are dropped so a
 /// resubmission recomputes cleanly.
-fn hydrate(shared: &Arc<Shared>, id: u64, digest: &str) -> Option<JobStatus> {
+fn hydrate(shared: &Shared, id: u64, digest: &str) -> Option<JobStatus> {
     let store = shared.store.as_ref()?;
     let loaded = store.lock().expect("store poisoned").load(digest, BlobKind::Report);
     match loaded.and_then(|bytes| String::from_utf8(bytes).ok()) {
@@ -922,7 +935,7 @@ fn stream_follow(mut stream: TcpStream, hub: &Arc<EventHub>) -> u16 {
     let mut out = BufWriter::with_capacity(8192, http::ChunkedWriter::new(stream));
     let mut cursor = 0u64;
     loop {
-        let batch = hub.next_batch(cursor, Duration::from_millis(200));
+        let batch = hub.next_batch(cursor);
         if batch.dropped > 0 {
             let marker =
                 format!("{{\"type\": \"follow_drop\", \"dropped_lines\": {}}}\n", batch.dropped);
@@ -936,7 +949,7 @@ fn stream_follow(mut stream: TcpStream, hub: &Arc<EventHub>) -> u16 {
             }
         }
         cursor = batch.next_cursor;
-        if (!batch.lines.is_empty() || batch.dropped > 0) && out.flush().is_err() {
+        if out.flush().is_err() {
             return 200;
         }
         if batch.drained {
@@ -989,11 +1002,10 @@ fn job_json(id: u64, digest: &str, scenario: &Scenario, status: &JobStatus) -> S
     out
 }
 
-fn healthz_json(shared: &Arc<Shared>) -> String {
+fn healthz_json(shared: &Shared) -> String {
     // Store stats first — the store and registry locks are never nested.
     let store = shared.store.as_ref().map(|s| s.lock().expect("store poisoned").stats());
     let reg = shared.registry.lock().expect("registry poisoned");
-    let draining = shared.shutdown.load(Ordering::SeqCst);
     let idle = reg.queue.is_empty() && reg.running == 0;
     let store_field = match store {
         Some(s) => format!(
@@ -1005,7 +1017,7 @@ fn healthz_json(shared: &Arc<Shared>) -> String {
     format!(
         "{{\"schema\": {}, \"status\": {}, \"workers\": {}, \"queued\": {}, \"running\": {}, \"jobs\": {}, \"submitted\": {}, \"executed\": {}, \"cache_hits\": {}{store_field}, \"idle\": {idle}}}\n",
         json_string(SCHEMA),
-        json_string(if draining { "draining" } else { "ok" }),
+        json_string(if reg.shutdown { "draining" } else { "ok" }),
         shared.worker_count,
         reg.queue.len(),
         reg.running,

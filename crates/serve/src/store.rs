@@ -141,7 +141,7 @@ pub enum BlobKind {
 }
 
 impl BlobKind {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             BlobKind::Report => "report",
             BlobKind::Events => "events",

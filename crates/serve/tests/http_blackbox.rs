@@ -7,11 +7,12 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use bas_core::Scenario;
-use bas_serve::{http, ServeConfig, Server, ServerHandle, SweepService};
+use bas_core::{Report, Scenario};
+use bas_serve::{http, ScenarioService, ServeConfig, Server, ServerHandle, SweepService};
 
 /// A tiny sweep that finishes in milliseconds.
 const SMOKE: &str = "kind = \"sweep\"\ntrials = 2\nhorizon = 200.0\nworkload = \"unit\"\nprocessor = \"unit\"\nbattery = \"none\"\nspecs = [\"EDF\", \"BAS-2\"]\n";
@@ -27,10 +28,14 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn start(mut config: ServeConfig) -> Daemon {
+    fn start(config: ServeConfig) -> Daemon {
+        Daemon::start_with(config, Arc::new(SweepService))
+    }
+
+    fn start_with(mut config: ServeConfig, service: Arc<dyn ScenarioService>) -> Daemon {
         config.addr = "127.0.0.1:0".to_string();
         config.quiet = true;
-        let server = Server::bind(config, Arc::new(SweepService)).expect("bind ephemeral port");
+        let server = Server::bind(config, service).expect("bind ephemeral port");
         let addr = server.local_addr().expect("bound address");
         let handle = server.handle();
         let thread = std::thread::spawn(move || server.run());
@@ -146,6 +151,173 @@ fn healthz_presets_and_error_routes() {
 }
 
 #[test]
+fn hostile_json_nesting_is_a_400_not_a_crash() {
+    let daemon = Daemon::start(ServeConfig::default());
+    let addr = daemon.addr;
+
+    // 400 KB, well under the default body cap. The bare array is routed to
+    // the TOML parser (JSON bodies start with `{`); the object wrapping it
+    // reaches the recursive JSON parser, whose depth bound must answer 400
+    // before the connection thread's stack overflows and aborts the process.
+    let nested = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let (status, _, response) = post(addr, &nested);
+    assert_eq!(status, 400, "{}", body_text(&response));
+    let (status, _, response) = post(addr, &format!("{{\"specs\": {nested}}}"));
+    let response = body_text(&response);
+    assert_eq!(status, 400, "{response}");
+    assert!(response.contains("nesting deeper than 128 levels"), "{response}");
+    let (status, _, _) = get(addr, "/v1/healthz");
+    assert_eq!(status, 200, "the daemon survives");
+}
+
+/// Spawn `server.run()`; the receiver yields its result.
+fn run_in_background(server: Server) -> mpsc::Receiver<std::io::Result<()>> {
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.run()));
+    result
+}
+
+#[test]
+fn idle_shutdown_returns_promptly_on_every_bind_address() {
+    // `shutdown` wakes the blocked `accept` by connecting to the bound
+    // address; an unspecified one is reached through its loopback.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0", "[::1]:0"] {
+        let config = ServeConfig { addr: bind.to_string(), quiet: true, ..ServeConfig::default() };
+        let server = match Server::bind(config, Arc::new(SweepService)) {
+            Ok(server) => server,
+            Err(e) if bind.starts_with('[') => {
+                eprintln!("skipping {bind}: no IPv6 loopback ({e})");
+                continue;
+            }
+            Err(e) => panic!("bind {bind}: {e}"),
+        };
+        let mut addr = server.local_addr().expect("bound address");
+        if addr.ip().is_unspecified() {
+            addr.set_ip([127, 0, 0, 1].into());
+        }
+        let handle = server.handle();
+        let result = run_in_background(server);
+        // One answered request proves the loop is blocked in `accept`.
+        assert_eq!(get(addr, "/v1/healthz").0, 200, "{bind}");
+        handle.shutdown();
+        let returned = result.recv_timeout(Duration::from_secs(1));
+        returned
+            .unwrap_or_else(|_| panic!("{bind}: run still blocked 1 s after shutdown"))
+            .unwrap();
+    }
+}
+
+#[test]
+fn shutdown_before_run_still_lets_run_return() {
+    let config = ServeConfig { addr: "127.0.0.1:0".to_string(), ..ServeConfig::default() };
+    let server = Server::bind(config, Arc::new(SweepService)).expect("bind ephemeral port");
+    server.handle().shutdown();
+    let returned = run_in_background(server).recv_timeout(Duration::from_secs(1));
+    returned.expect("run returns within 1 s").expect("clean shutdown");
+}
+
+#[test]
+fn back_to_back_requests_pay_no_poll_floor() {
+    let daemon = Daemon::start(ServeConfig::default());
+    // Each request would pay any accept-loop poll interval in full.
+    let start = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(get(daemon.addr, "/v1/healthz").0, 200);
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_millis(250), "50 sequential healthz took {elapsed:?}");
+}
+
+/// One submission that tolerates the daemon going away: `None` when the
+/// connection is refused, reset or closed without a response.
+fn try_post(addr: SocketAddr, body: &str) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).ok()?;
+    stream.set_read_timeout(Some(Duration::from_secs(60))).ok()?;
+    let raw = format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: bas\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(raw.as_bytes()).ok()?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response).ok()?;
+    response.split(' ').nth(1)?.parse().ok()
+}
+
+#[test]
+fn shutdown_racing_submissions_executes_every_accepted_job() {
+    let mut daemon =
+        Daemon::start(ServeConfig { workers: 2, queue_depth: 100_000, ..ServeConfig::default() });
+    let addr = daemon.addr;
+    const CLIENTS: usize = 4;
+    let accepted = AtomicUsize::new(0);
+    let go = Barrier::new(CLIENTS + 1);
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (accepted, go) = (&accepted, &go);
+            scope.spawn(move || {
+                go.wait();
+                for seed in (client as u64 * 1_000_000).. {
+                    match try_post(addr, &seeded_body(seed)) {
+                        Some(202) => accepted.fetch_add(1, Ordering::SeqCst),
+                        Some(503) | None => return, // draining, or the listener is gone
+                        Some(status) => panic!("unexpected {status}"),
+                    };
+                }
+            });
+        }
+        go.wait();
+        wait_until("20 accepted submissions", Duration::from_secs(60), || {
+            accepted.load(Ordering::SeqCst) >= 20
+        });
+        daemon.handle.shutdown();
+    });
+    daemon.thread.take().unwrap().join().expect("server thread").expect("clean shutdown");
+    let stats = daemon.handle.stats();
+    assert_eq!(stats.executed, accepted.load(Ordering::SeqCst) as u64, "{stats:?}");
+    assert_eq!((stats.queued, stats.running), (0, 0), "{stats:?}");
+}
+
+/// Runs sweeps like [`SweepService`] but panics on scenarios named `boom`.
+struct PanickyService;
+
+impl ScenarioService for PanickyService {
+    fn run(&self, scenario: &Scenario) -> Result<Report, String> {
+        if scenario.name == "boom" {
+            panic!("the service blew up");
+        }
+        SweepService.run(scenario)
+    }
+}
+
+#[test]
+fn a_panicking_job_fails_alone_and_the_worker_keeps_serving() {
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let mut daemon = Daemon::start_with(config, Arc::new(PanickyService));
+    let addr = daemon.addr;
+
+    let (status, _, body) = post(addr, &format!("{SMOKE}name = \"boom\"\n"));
+    assert_eq!(status, 202, "{}", body_text(&body));
+    let id = json_field(&body_text(&body), "job");
+    let mut last = String::new();
+    wait_until("job to fail", Duration::from_secs(30), || {
+        let (_, _, body) = get(addr, &format!("/v1/jobs/{id}"));
+        last = body_text(&body);
+        json_field(&last, "status") == "failed"
+    });
+    assert!(last.contains("job panicked: the service blew up"), "{last}");
+
+    // The pool's only worker survived and runs the next job.
+    let (status, _, body) = post(addr, SMOKE);
+    assert_eq!(status, 202, "{}", body_text(&body));
+    wait_done(addr, &json_field(&body_text(&body), "job"));
+
+    daemon.handle.shutdown();
+    daemon.thread.take().unwrap().join().expect("server thread").expect("clean shutdown");
+    let stats = daemon.handle.stats();
+    assert_eq!((stats.executed, stats.running), (2, 0), "{stats:?}");
+}
+
+#[test]
 fn submissions_run_cache_and_coalesce_across_formats() {
     let daemon = Daemon::start(ServeConfig::default());
     let addr = daemon.addr;
@@ -166,10 +338,7 @@ fn submissions_run_cache_and_coalesce_across_formats() {
     // The raw report endpoint serves exactly what a local run prints.
     let (status, _, report) = get(addr, &format!("/v1/jobs/{id}/report"));
     assert_eq!(status, 200);
-    let expected = {
-        use bas_serve::ScenarioService as _;
-        SweepService.run(&Scenario::from_toml(SMOKE).unwrap()).unwrap().to_json()
-    };
+    let expected = SweepService.run(&Scenario::from_toml(SMOKE).unwrap()).unwrap().to_json();
     assert_eq!(body_text(&report), expected, "served report must be byte-identical");
 
     // Resubmitting the identical TOML is a cache hit on the same job…
@@ -235,6 +404,13 @@ fn malformed_oversized_and_over_budget_submissions() {
     let (status, _, _) =
         exchange(addr, b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n");
     assert_eq!(status, 411);
+}
+
+/// A one-trial sweep that finishes in milliseconds; each seed is a new digest.
+fn seeded_body(seed: u64) -> String {
+    format!(
+        "kind = \"sweep\"\ntrials = 1\nseed = {seed}\nhorizon = 100.0\nworkload = \"unit\"\nprocessor = \"unit\"\nbattery = \"none\"\nspecs = [\"EDF\"]\n"
+    )
 }
 
 /// A sweep sized to occupy a worker long enough (hundreds of ms) for the
@@ -426,10 +602,7 @@ fn lru_evicts_oldest_results_and_404s_them() {
     let addr = daemon.addr;
 
     let submit_fast = |seed: u64| {
-        let body = format!(
-            "kind = \"sweep\"\ntrials = 1\nseed = {seed}\nhorizon = 100.0\nworkload = \"unit\"\nprocessor = \"unit\"\nbattery = \"none\"\nspecs = [\"EDF\"]\n"
-        );
-        let (status, _, response) = post(addr, &body);
+        let (status, _, response) = post(addr, &seeded_body(seed));
         let response = body_text(&response);
         assert!(status == 202 || status == 200, "{response}");
         json_field(&response, "job")
@@ -539,10 +712,7 @@ fn memory_evicted_results_are_reserved_from_disk() {
     let addr = daemon.addr;
 
     let submit = |seed: u64| {
-        let body = format!(
-            "kind = \"sweep\"\ntrials = 1\nseed = {seed}\nhorizon = 100.0\nworkload = \"unit\"\nprocessor = \"unit\"\nbattery = \"none\"\nspecs = [\"EDF\"]\n"
-        );
-        let (status, _, response) = post(addr, &body);
+        let (status, _, response) = post(addr, &seeded_body(seed));
         (status, body_text(&response))
     };
     for seed in 1..=3 {

@@ -5,6 +5,8 @@
 //! lets one `TaskGraph` be shared (e.g. behind `Arc`) across the many
 //! simulation instances a parameter sweep spawns without synchronization.
 
+use std::collections::HashSet;
+
 use crate::algo;
 use crate::error::GraphError;
 use crate::ids::NodeId;
@@ -186,12 +188,14 @@ pub struct TaskGraphBuilder {
     name: String,
     nodes: Vec<TaskNode>,
     edges: Vec<(NodeId, NodeId, u64)>,
+    /// `(from, to)` of every edge in `edges`: O(1) duplicate rejection.
+    edge_index: HashSet<(NodeId, NodeId)>,
 }
 
 impl TaskGraphBuilder {
     /// Start a new graph with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        TaskGraphBuilder { name: name.into(), nodes: Vec::new(), edges: Vec::new() }
+        TaskGraphBuilder { name: name.into(), ..TaskGraphBuilder::default() }
     }
 
     /// Pre-allocate for `nodes` nodes and `edges` edges.
@@ -200,6 +204,7 @@ impl TaskGraphBuilder {
             name: name.into(),
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
+            edge_index: HashSet::with_capacity(edges),
         }
     }
 
@@ -245,7 +250,7 @@ impl TaskGraphBuilder {
         if from == to {
             return Err(GraphError::SelfLoop(from));
         }
-        if self.edges.iter().any(|&(f, t, _)| f == from && t == to) {
+        if !self.edge_index.insert((from, to)) {
             return Err(GraphError::DuplicateEdge(from, to));
         }
         self.edges.push((from, to, bytes));
@@ -256,18 +261,21 @@ impl TaskGraphBuilder {
     ///
     /// Checks: at least one node, no zero-WCET node, acyclic edge relation.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
-        if self.nodes.is_empty() {
+        let TaskGraphBuilder { name, nodes, edges, edge_index } = self;
+        // Free the index before the adjacency lists are allocated.
+        drop(edge_index);
+        if nodes.is_empty() {
             return Err(GraphError::EmptyGraph);
         }
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in nodes.iter().enumerate() {
             if node.wcet == 0 {
                 return Err(GraphError::ZeroWcet(NodeId::from_index(i)));
             }
         }
-        let n = self.nodes.len();
+        let n = nodes.len();
         let mut out: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); n];
         let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &(from, to, bytes) in &self.edges {
+        for &(from, to, bytes) in &edges {
             out[from.index()].push((to, bytes));
             preds[to.index()].push(from);
         }
@@ -284,16 +292,8 @@ impl TaskGraphBuilder {
             list.sort_unstable();
         }
         let topo = algo::topological_sort(n, &succs, &preds)?;
-        let total_wcet = self.nodes.iter().map(|t| t.wcet).sum();
-        Ok(TaskGraph {
-            name: self.name,
-            nodes: self.nodes,
-            succs,
-            preds,
-            topo,
-            total_wcet,
-            edge_bytes,
-        })
+        let total_wcet = nodes.iter().map(|t| t.wcet).sum();
+        Ok(TaskGraph { name, nodes, succs, preds, topo, total_wcet, edge_bytes })
     }
 }
 

@@ -78,13 +78,16 @@ impl Json {
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing garbage after JSON document at byte {}", p.pos));
     }
     Ok(value)
 }
+
+/// Deepest array/object nesting accepted: the parser recurses per level.
+const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -124,10 +127,13 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -138,7 +144,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut entries: Vec<(String, Json)> = Vec::new();
         self.skip_ws();
@@ -152,7 +158,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             if entries.iter().any(|(k, _)| *k == key) {
                 return Err(format!("duplicate key {key:?}"));
             }
@@ -169,7 +175,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -179,7 +185,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -338,6 +344,14 @@ mod tests {
     fn string_escapes_decode() {
         let doc = parse(r#"{"s": "a\"b\\c\nd é 😀"}"#).unwrap();
         assert_eq!(doc.get("s").unwrap().as_str(), Some("a\"b\\c\nd é 😀"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("nesting deeper"), "{e}");
     }
 
     #[test]

@@ -372,6 +372,14 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let e = import_str(&deep, &ImportConfig::default()).unwrap_err();
+        assert!(matches!(e, WorkloadError::Json(_)), "{e}");
+        assert!(e.to_string().contains("nesting deeper than 128 levels"), "{e}");
+    }
+
+    #[test]
     fn dependency_cycles_surface_as_graph_errors() {
         let e = import_str(
             r#"{"workflow": {"tasks": [
